@@ -143,14 +143,7 @@ func renderWatch(out io.Writer, source string, m map[string]float64, alerts []wa
 	if hits+misses > 0 {
 		memoRate = fmt.Sprintf("%.0f%%", 100*hits/(hits+misses))
 	}
-	scHits := m[telemetry.MetricMOGDCacheHit]
-	scMisses := m[telemetry.MetricMOGDCacheMiss]
-	scRate := "-"
-	if scHits+scMisses > 0 {
-		scRate = fmt.Sprintf("%.0f%%", 100*scHits/(scHits+scMisses))
-	}
-	fmt.Fprintf(out, "evals       %.0f model passes, memo hit rate %s | subcache hit rate %s\n",
-		evals, memoRate, scRate)
+	fmt.Fprintf(out, "evals       %.0f model passes, memo hit rate %s\n", evals, memoRate)
 
 	reqs := m[telemetry.MetricServingRequests]
 	servingHits := m[telemetry.MetricServingHits]

@@ -6,8 +6,8 @@ package core
 // freed — between steps. After the first step of an expansion the slab has
 // its steady-state size and subsequent steps perform no bound allocations at
 // all. Solvers receive sub-slices of the slab; both solver implementations
-// only read CO bounds during the call (mogd copies what its subproblem cache
-// keys on), so reuse across steps is safe.
+// only read CO bounds during the call (mogd copies the boxes it keeps for
+// near warm-starts), so reuse across steps is safe.
 type stepArena struct {
 	slab  []float64
 	off   int

@@ -128,35 +128,3 @@ func TestExp(t *testing.T) {
 		t.Fatal("plain model should have zero variance")
 	}
 }
-
-func TestSum(t *testing.T) {
-	a := Func{D: 2, F: func(x []float64) float64 { return 2 * x[0] }}
-	b := Func{D: 2, F: func(x []float64) float64 { return 3 * x[1] }}
-	s := Sum{Models: []Model{a, b}}
-	x := []float64{0.5, 0.5}
-	if got := s.Predict(x); math.Abs(got-2.5) > 1e-12 {
-		t.Fatalf("Sum.Predict = %v, want 2.5", got)
-	}
-	g := s.Gradient(x)
-	if math.Abs(g[0]-2) > 1e-3 || math.Abs(g[1]-3) > 1e-3 {
-		t.Fatalf("Sum.Gradient = %v, want [2 3]", g)
-	}
-	// Weighted variant.
-	w := Sum{Models: []Model{a, b}, Weights: []float64{1, 2}}
-	if got := w.Predict(x); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("weighted Sum.Predict = %v, want 4", got)
-	}
-	// Variance adds for Uncertain components.
-	u := Sum{Models: []Model{quadraticU{}, quadraticU{}}}
-	_, v := u.PredictVar(x)
-	if math.Abs(v-0.08) > 1e-12 {
-		t.Fatalf("Sum.PredictVar variance = %v, want 0.08", v)
-	}
-	// Mixed Uncertain and plain components.
-	mixed := Sum{Models: []Model{quadraticU{}, a}}
-	mu, mv := mixed.PredictVar(x)
-	want := (quadratic{}).Predict(x) + 1
-	if math.Abs(mu-want) > 1e-12 || mv != 0.04 {
-		t.Fatalf("mixed Sum.PredictVar = %v, %v", mu, mv)
-	}
-}

@@ -34,6 +34,27 @@ func routedFixture(t *testing.T) Routed {
 	return r
 }
 
+// identityFixture routes every stage over the full 4-dim vector — the
+// shared-configuration pipeline, where Routed is a plain weighted sum of its
+// stage models.
+func identityFixture(t *testing.T) Routed {
+	t.Helper()
+	d := 4
+	ident := []int{0, 1, 2, 3}
+	r, err := NewRouted(d,
+		[]Model{
+			Func{D: d, F: func(x []float64) float64 { return x[0]*x[1] + x[2] }},
+			Func{D: d, F: func(x []float64) float64 { return x[3] * x[3] }},
+		},
+		[][]int{ident, ident},
+		[]float64{1.5, 0.5},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func randPoint(rng *rand.Rand, d int) []float64 {
 	x := make([]float64, d)
 	for i := range x {
@@ -43,22 +64,24 @@ func randPoint(rng *rand.Rand, d int) []float64 {
 }
 
 // TestRoutedPredictMatchesManualSum pins the definition: the routed value is
-// the weighted stage-by-stage sum over gathered sub-vectors.
+// the weighted stage-by-stage sum over gathered sub-vectors, for stage-wise
+// and identity routing alike.
 func TestRoutedPredictMatchesManualSum(t *testing.T) {
-	r := routedFixture(t)
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 20; trial++ {
-		x := randPoint(rng, r.D)
-		want := 0.0
-		for i, m := range r.Models {
-			sub := make([]float64, len(r.Index[i]))
-			for j, d := range r.Index[i] {
-				sub[j] = x[d]
+	for _, r := range []Routed{routedFixture(t), identityFixture(t)} {
+		rng := rand.New(rand.NewSource(1))
+		for trial := 0; trial < 20; trial++ {
+			x := randPoint(rng, r.D)
+			want := 0.0
+			for i, m := range r.Models {
+				sub := make([]float64, len(r.Index[i]))
+				for j, d := range r.Index[i] {
+					sub[j] = x[d]
+				}
+				want += r.weight(i) * m.Predict(sub)
 			}
-			want += r.weight(i) * m.Predict(sub)
-		}
-		if got := r.Predict(x); got != want {
-			t.Fatalf("Predict = %v, manual stage sum = %v", got, want)
+			if got := r.Predict(x); got != want {
+				t.Fatalf("D=%d: Predict = %v, manual stage sum = %v", r.D, got, want)
+			}
 		}
 	}
 }
@@ -66,36 +89,37 @@ func TestRoutedPredictMatchesManualSum(t *testing.T) {
 // TestRoutedValueGradBitIdentical asserts the acceptance contract: the fused
 // composite ValueGrad is bit-identical to the scalar stage-by-stage sum, with
 // shared dimensions accumulating stage contributions in ascending stage
-// order.
+// order. The identity fixture covers the shared-configuration pipeline.
 func TestRoutedValueGradBitIdentical(t *testing.T) {
-	r := routedFixture(t)
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 20; trial++ {
-		x := randPoint(rng, r.D)
-		wantV := 0.0
-		wantG := make([]float64, r.D)
-		for i, m := range r.Models {
-			sub := make([]float64, len(r.Index[i]))
-			for j, d := range r.Index[i] {
-				sub[j] = x[d]
+	for _, r := range []Routed{routedFixture(t), identityFixture(t)} {
+		rng := rand.New(rand.NewSource(2))
+		for trial := 0; trial < 20; trial++ {
+			x := randPoint(rng, r.D)
+			wantV := 0.0
+			wantG := make([]float64, r.D)
+			for i, m := range r.Models {
+				sub := make([]float64, len(r.Index[i]))
+				for j, d := range r.Index[i] {
+					sub[j] = x[d]
+				}
+				vi, gi := EnsureValueGrad(m).ValueGrad(sub, nil)
+				w := r.weight(i)
+				wantV += w * vi
+				for j, d := range r.Index[i] {
+					wantG[d] += w * gi[j]
+				}
 			}
-			vi, gi := EnsureValueGrad(m).ValueGrad(sub, nil)
-			w := r.weight(i)
-			wantV += w * vi
-			for j, d := range r.Index[i] {
-				wantG[d] += w * gi[j]
+			grad := make([]float64, r.D)
+			v, g := r.ValueGrad(x, grad)
+			if v != wantV {
+				t.Fatalf("D=%d: ValueGrad value %v != scalar stage sum %v", r.D, v, wantV)
 			}
-		}
-		grad := make([]float64, r.D)
-		v, g := r.ValueGrad(x, grad)
-		if v != wantV {
-			t.Fatalf("ValueGrad value %v != scalar stage sum %v", v, wantV)
-		}
-		if &g[0] != &grad[0] {
-			t.Fatal("ValueGrad did not use the caller's buffer")
-		}
-		if !reflect.DeepEqual(g, wantG) {
-			t.Fatalf("ValueGrad gradient %v != scalar stage sum %v", g, wantG)
+			if &g[0] != &grad[0] {
+				t.Fatal("ValueGrad did not use the caller's buffer")
+			}
+			if !reflect.DeepEqual(g, wantG) {
+				t.Fatalf("D=%d: ValueGrad gradient %v != scalar stage sum %v", r.D, g, wantG)
+			}
 		}
 	}
 }
@@ -203,34 +227,5 @@ func TestNewRoutedValidation(t *testing.T) {
 	}
 	if _, err := NewRouted(3, []Model{m1}, [][]int{{2}}, nil); err != nil {
 		t.Errorf("valid table rejected: %v", err)
-	}
-}
-
-// TestRoutedIdentityMatchesSum pins the generalization claim: with identity
-// routing (every stage reads the full vector) Routed degenerates to Sum,
-// bit for bit.
-func TestRoutedIdentityMatchesSum(t *testing.T) {
-	d := 4
-	models := []Model{
-		Func{D: d, F: func(x []float64) float64 { return x[0]*x[1] + x[2] }},
-		Func{D: d, F: func(x []float64) float64 { return x[3] * x[3] }},
-	}
-	ident := []int{0, 1, 2, 3}
-	r, err := NewRouted(d, models, [][]int{ident, ident}, []float64{1.5, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Sum{Models: models, Weights: []float64{1.5, 0.5}}
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 10; trial++ {
-		x := randPoint(rng, d)
-		if r.Predict(x) != s.Predict(x) {
-			t.Fatal("Predict differs from Sum under identity routing")
-		}
-		rv, rg := r.ValueGrad(x, nil)
-		sv, sg := s.ValueGrad(x, nil)
-		if rv != sv || !reflect.DeepEqual(rg, sg) {
-			t.Fatal("ValueGrad differs from Sum under identity routing")
-		}
 	}
 }

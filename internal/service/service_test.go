@@ -323,10 +323,17 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 // request can resolve per-stage models.
 func buildPipelineService(t *testing.T) (*Service, []string) {
 	t.Helper()
+	workloads := []string{"etl-test", "ml-test"}
+	return buildMultiService(t, workloads), workloads
+}
+
+// buildMultiService collects 40 traces for each named workload (each a
+// slightly heavier batch job than the one before) into one GP service.
+func buildMultiService(t *testing.T, workloads []string) *Service {
+	t.Helper()
 	spc := spark.BatchSpace()
 	cl := spark.DefaultCluster()
 	st := trace.NewStore()
-	workloads := []string{"etl-test", "ml-test"}
 	for i, wl := range workloads {
 		df := spark.Chain(wl, 3e6+1e6*float64(i), 100,
 			spark.Operator{Kind: spark.OpScan, Selectivity: 1, CostPerRow: 1 + 0.5*float64(i)},
@@ -359,7 +366,7 @@ func buildPipelineService(t *testing.T) (*Service, []string) {
 		c, _ := spc.Get(vals, spark.KnobCores)
 		return inst * c
 	}}
-	return svc, workloads
+	return svc
 }
 
 // TestOptimizePipeline is the service acceptance test: a two-stage pipeline

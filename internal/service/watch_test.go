@@ -193,3 +193,58 @@ func TestAlertsEndToEnd(t *testing.T) {
 		t.Fatal("per-rule alert counter = 0")
 	}
 }
+
+// TestNominalTrafficRaisesNoAlert is the watchdog's "true under load"
+// contract: ordinary /optimize traffic — a cold solve, an expand and a
+// cached hit on each of three workloads — leaves every rule of a default
+// watch.Config quiet, sweep after sweep, even when one window holds dozens
+// of MOGD solves.
+func TestNominalTrafficRaisesNoAlert(t *testing.T) {
+	workloads := []string{"nom-a", "nom-b", "nom-c"}
+	svc := buildMultiService(t, workloads)
+	svc.Telemetry = telemetry.New()
+	reg, err := runlog.Open(filepath.Join(t.TempDir(), "runs.jsonl"), runlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	svc.Runs = reg
+	wd, err := watch.New(watch.Config{Telemetry: svc.Telemetry, Runs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wd.Stop()
+	svc.Watch = wd
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	solves := svc.Telemetry.Metrics.Counter(telemetry.MetricMOGDSolves)
+	rounds := []struct {
+		name    string
+		probes  int
+		weights []float64
+		served  string
+	}{
+		{"cold", 20, []float64{0.5, 0.5}, "solve"},
+		{"expand", 40, []float64{0.5, 0.5}, "expand"},
+		{"hit", 40, []float64{0.9, 0.1}, "hit"},
+	}
+	if got := wd.EvalOnce(); len(got) != 0 { // baseline
+		t.Fatalf("baseline sweep raised %+v", got)
+	}
+	for _, r := range rounds {
+		before := solves.Value()
+		for _, wl := range workloads {
+			out := postOptimize(t, ts.URL, OptimizeRequest{Workload: wl, Weights: r.weights, Probes: r.probes})
+			if out.Served != r.served {
+				t.Fatalf("%s round, %s: served %q, want %q", r.name, wl, out.Served, r.served)
+			}
+		}
+		if r.name == "cold" && solves.Value()-before < 50 {
+			t.Fatalf("cold round ran %d MOGD solves; the window needs at least 50", solves.Value()-before)
+		}
+		if got := wd.EvalOnce(); len(got) != 0 {
+			t.Fatalf("%s round raised %+v", r.name, got)
+		}
+	}
+}

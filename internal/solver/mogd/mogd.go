@@ -25,14 +25,13 @@
 // gradient). The batched kernels are bit-identical to the scalar fused path,
 // so results match the former per-start implementation exactly. Candidate
 // evaluations on the rounded configuration lattice hit the evaluator's memo
-// cache; SolveBatch fans its probes out on a Workers-bounded pool; and a
-// cross-expand subproblem cache replays previously-solved (co, seed) boxes
-// bit-identically (see Config.CacheCap). Models must be safe for concurrent
-// Predict/ValueGrad calls.
+// cache; SolveBatch fans its probes out on a Workers-bounded pool; and, with
+// Config.NearStarts, batch probes warm-start one start row from the nearest
+// earlier incumbent. Models must be safe for concurrent Predict/ValueGrad
+// calls.
 package mogd
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -68,36 +67,28 @@ type Config struct {
 	Tol     float64 // feasibility tolerance on the normalized scale (default 1e-4)
 	Workers int     // max concurrent starts/probes across Solve+SolveBatch (default GOMAXPROCS)
 	Seed    int64
-	// CacheCap bounds the cross-expand subproblem cache in entries: solved
-	// (co, seed) subproblems are remembered LRU-style and replayed on exact
-	// re-solves — the PF expand loop and service-level re-optimizations keep
-	// hitting the same ε-constraint boxes. Zero means the default (512);
-	// negative disables the cache. Replay is bit-identical to a fresh solve
-	// (solves are deterministic functions of co and seed), so caching on or
-	// off never changes results — only wall-clock. Callers that retrain the
-	// underlying models must call ResetCache.
-	CacheCap int
-	// NearStarts, when true, upgrades exact-key subproblem-cache misses to
-	// NEAR hits inside SolveBatch: the last multi-start row is seeded from
-	// the solution of the nearest previously-cached ε-constraint box with
-	// the same target (L1 distance over the finite bounds; boxes whose
-	// infinity patterns differ are incomparable) instead of a random draw.
-	// PF expand loops revisit slightly-shifted rectangles, so the neighbour's
-	// incumbent is usually feasible here too and descent starts next to the
-	// optimum.
+	// NearStarts, when true, keeps the solver's feasible incumbents (the
+	// newest 512 of them) and, inside SolveBatch, seeds the last
+	// multi-start row of each probe from the incumbent of the nearest earlier
+	// ε-constraint box with the same target (L1 distance over the finite
+	// bounds; boxes whose infinity patterns differ are incomparable) instead
+	// of a random draw. PF expand loops revisit slightly-shifted rectangles,
+	// so the neighbour's incumbent is usually feasible here too and descent
+	// starts next to the optimum. The seed is only a starting point: the
+	// result is still evaluated under the current models and must pass the
+	// feasibility check, so a neighbour from before a retrain cannot leak
+	// into a frontier.
 	//
-	// Determinism: each SolveBatch sees a SNAPSHOT of the cache as of the
-	// batch's start — entries inserted during the batch are invisible to its
-	// probes — so results are independent of probe scheduling. Standalone
-	// Solve calls never near-warm-start. The trade-off is that with
-	// NearStarts on, a batch probe's result may legitimately differ from the
-	// same (co, seed) solved standalone (it had a better starting point);
-	// and if the cache overflows CacheCap mid-run, WHICH neighbours survive
-	// eviction depends on concurrent LRU touch order, making warm starts
-	// reproducible only while the working set fits the cache.
+	// Determinism: each SolveBatch reads the incumbent list before it fans
+	// out and appends its own feasible results in input order once every
+	// probe is done, so results and eviction are independent of probe
+	// scheduling. Standalone Solve calls never warm-start but do append
+	// their result. With NearStarts on, a batch probe's result may
+	// legitimately differ from the same (co, seed) solved standalone (it had
+	// a better starting point).
 	NearStarts bool
 	// Telemetry, when non-nil, feeds the solver's counters (iterations,
-	// boundary clamps, solves, infeasible solves, subproblem-cache traffic)
+	// boundary clamps, solves, infeasible solves, near warm-starts)
 	// and emits one trace event per Solve (per-start events at
 	// LevelVerbose), tagged with RunID. The Adam inner loop pays no
 	// allocations and no atomics for it — per-start tallies are accumulated
@@ -105,9 +96,9 @@ type Config struct {
 	Telemetry *telemetry.Telemetry
 	RunID     string
 	// Workload, when set together with Telemetry, additionally labels the
-	// subproblem-cache counters per workload
-	// (udao_mogd_subcache_hits_total{workload="..."}), so per-workload cache
-	// efficacy is visible alongside the global totals.
+	// near warm-start counter per workload
+	// (udao_pf_subcache_near_hits_total{workload="..."}), alongside the
+	// global total.
 	Workload string
 }
 
@@ -171,31 +162,24 @@ type Solver struct {
 	// scratch recycles per-Solve batched buffers (the multi-start matrices)
 	// across Solve calls.
 	scratch sync.Pool
-	// cache is the cross-expand subproblem cache (nil when disabled).
-	cache *subCache
-	// epoch stamps cache entries for NearStarts' snapshot rule: SolveBatch
-	// bumps it once at batch start, and near-neighbour lookup only considers
-	// entries stamped before the running batch.
-	epoch atomic.Uint64
+	// incMu guards incumbents, the NearStarts candidate list: feasible
+	// solutions in insertion order, oldest first, at most maxIncumbents.
+	incMu      sync.Mutex
+	incumbents []*incumbent
 
 	// Telemetry instruments (nil when Config.Telemetry is nil), resolved
 	// once at construction.
-	telIters     *telemetry.Counter
-	telClamps    *telemetry.Counter
-	telSolves    *telemetry.Counter
-	telInfeas    *telemetry.Counter
-	telCacheHit  *telemetry.Counter
-	telCacheMiss *telemetry.Counter
-	telCacheRej  *telemetry.Counter
-	telCacheNear *telemetry.Counter
-	// Per-workload subcache series (nil without Config.Workload); the
-	// instruments are nil-safe so call sites never branch.
-	telCacheHitW  *telemetry.Counter
-	telCacheMissW *telemetry.Counter
-	telCacheRejW  *telemetry.Counter
-	telCacheNearW *telemetry.Counter
-	tracer        *telemetry.Tracer
-	runID         string
+	telIters  *telemetry.Counter
+	telClamps *telemetry.Counter
+	telSolves *telemetry.Counter
+	telInfeas *telemetry.Counter
+	telNear   *telemetry.Counter
+	// telNearW is the per-workload near series (nil without
+	// Config.Workload); the instruments are nil-safe so call sites never
+	// branch.
+	telNearW *telemetry.Counter
+	tracer   *telemetry.Tracer
+	runID    string
 	// parentSpan is the span ID the next solve/solve_batch spans nest under,
 	// set per expand step by core.Run (and per batch by SolveBatch itself).
 	parentSpan atomic.Uint64
@@ -234,27 +218,14 @@ func NewOnEvaluator(ev *problem.Evaluator, cfg Config) (*Solver, error) {
 		k:   ev.NumObjectives(),
 		sem: make(chan struct{}, cfg.Workers-1),
 	}
-	if cfg.CacheCap >= 0 {
-		cap := cfg.CacheCap
-		if cap == 0 {
-			cap = 512
-		}
-		s.cache = newSubCache(cap)
-	}
 	if tel := cfg.Telemetry; tel != nil {
 		s.telIters = tel.Metrics.Counter(telemetry.MetricMOGDIterations)
 		s.telClamps = tel.Metrics.Counter(telemetry.MetricMOGDClamps)
 		s.telSolves = tel.Metrics.Counter(telemetry.MetricMOGDSolves)
 		s.telInfeas = tel.Metrics.Counter(telemetry.MetricMOGDInfeasible)
-		s.telCacheHit = tel.Metrics.Counter(telemetry.MetricMOGDCacheHit)
-		s.telCacheMiss = tel.Metrics.Counter(telemetry.MetricMOGDCacheMiss)
-		s.telCacheRej = tel.Metrics.Counter(telemetry.MetricMOGDCacheRej)
-		s.telCacheNear = tel.Metrics.Counter(telemetry.MetricMOGDCacheNear)
+		s.telNear = tel.Metrics.Counter(telemetry.MetricMOGDCacheNear)
 		if cfg.Workload != "" {
-			s.telCacheHitW = tel.Metrics.Counter(telemetry.Labeled(telemetry.MetricMOGDCacheHit, "workload", cfg.Workload))
-			s.telCacheMissW = tel.Metrics.Counter(telemetry.Labeled(telemetry.MetricMOGDCacheMiss, "workload", cfg.Workload))
-			s.telCacheRejW = tel.Metrics.Counter(telemetry.Labeled(telemetry.MetricMOGDCacheRej, "workload", cfg.Workload))
-			s.telCacheNearW = tel.Metrics.Counter(telemetry.Labeled(telemetry.MetricMOGDCacheNear, "workload", cfg.Workload))
+			s.telNearW = tel.Metrics.Counter(telemetry.Labeled(telemetry.MetricMOGDCacheNear, "workload", cfg.Workload))
 		}
 		s.tracer = tel.Trace
 		s.runID = cfg.RunID
@@ -477,16 +448,16 @@ func (s *Solver) considerRow(co solver.CO, x []float64, f, fr objective.Point, r
 // takes its own Adam step with inline [0,1] clamping. Per-row arithmetic and
 // its order match the former per-start loop exactly, so the incumbents in
 // sc.res are bit-identical to sequential per-start descent.
-func (s *Solver) solveAllStarts(co solver.CO, seed int64, snap uint64, sc *solveScratch) {
+func (s *Solver) solveAllStarts(co solver.CO, seed int64, near []*incumbent, sc *solveScratch) {
 	s.fillStarts(seed, sc.X)
 	// Near warm start (Config.NearStarts): replace the LAST random draw with
-	// the nearest cached neighbour's solution. Overwriting after fillStarts
-	// keeps the RNG draw sequence — and with it every other start row —
-	// identical to the cold path; keeping rows 0..n-2 preserves the center
-	// start and the exploration draws.
-	if snap != 0 && sc.X.Rows >= 2 && s.nearWarmStart(co, snap, sc.X.Row(sc.X.Rows-1)) {
-		s.telCacheNear.Add(1)
-		s.telCacheNearW.Add(1)
+	// the nearest earlier incumbent. Overwriting after fillStarts keeps the
+	// RNG draw sequence — and with it every other start row — identical to
+	// the cold path; keeping rows 0..n-2 preserves the center start and the
+	// exploration draws.
+	if sc.X.Rows >= 2 && nearestIncumbent(near, co, sc.X.Row(sc.X.Rows-1)) {
+		s.telNear.Add(1)
+		s.telNearW.Add(1)
 	}
 	for i := range sc.mAdam.Data {
 		sc.mAdam.Data[i] = 0
@@ -579,31 +550,26 @@ func (s *Solver) solveAllStarts(co solver.CO, seed int64, snap uint64, sc *solve
 // goroutine (parallelism lives at the SolveBatch probe level); the result is
 // deterministic: the start points come from one seeded RNG, the per-row
 // arithmetic matches sequential per-start descent bit-for-bit, and the
-// incumbents are reduced in start order. A subproblem-cache hit (same co and
-// seed solved before) replays the remembered solution without any model
-// passes — bit-identical to re-solving, see Config.CacheCap.
+// incumbents are reduced in start order. With Config.NearStarts a feasible
+// result joins the incumbent list that later SolveBatch calls warm-start from.
 func (s *Solver) Solve(co solver.CO, seed int64) (objective.Solution, bool) {
-	return s.solve(co, seed, 0)
+	s.checkBounds(co)
+	sol, ok := s.solve(co, seed, nil)
+	if ok && s.cfg.NearStarts {
+		s.addIncumbents(newIncumbent(co, seed, sol))
+	}
+	return sol, ok
 }
 
-// solve is Solve with a cache-snapshot epoch: snap == 0 means "no near warm
-// starts" (the standalone path); SolveBatch passes its batch epoch so probes
-// may warm-start from entries cached before the batch began.
-func (s *Solver) solve(co solver.CO, seed int64, snap uint64) (objective.Solution, bool) {
-	s.checkBounds(co)
-	// The solve span covers cache lookup and descent alike; a replay ends it
-	// immediately with the "cache_replay" detail, so the timeline attributes
-	// replayed probes to the mogd phase without hiding that they were cheap.
+// solve runs one descent; near holds the incumbents a SolveBatch probe may
+// warm-start from (nil on the standalone path).
+func (s *Solver) solve(co solver.CO, seed int64, near []*incumbent) (objective.Solution, bool) {
 	var span telemetry.Span
 	if s.telSolves != nil {
 		span = s.tracer.StartSpan(telemetry.LevelRun, s.runID, s.parentSpan.Load(), "mogd", "solve")
 	}
-	if sol, ok, hit := s.cacheGet(co, seed); hit {
-		span.End("cache_replay", nil)
-		return sol, ok
-	}
 	sc := s.scratch.Get().(*solveScratch)
-	s.solveAllStarts(co, seed, snap, sc)
+	s.solveAllStarts(co, seed, near, sc)
 	if s.tracer.Enabled(telemetry.LevelVerbose) {
 		for st := range sc.res {
 			r := &sc.res[st]
@@ -627,7 +593,6 @@ func (s *Solver) solve(co solver.CO, seed int64, snap uint64) (objective.Solutio
 		s.observeSolve(co, sc.res, sol, found, span)
 	}
 	s.scratch.Put(sc)
-	s.cachePut(co, seed, sol, found)
 	return sol, found
 }
 
@@ -746,12 +711,13 @@ func (s *Solver) SolveBatch(cos []solver.CO, seed int64) []solver.Result {
 			span.End("", map[string]float64{"problems": float64(len(cos)), "feasible": float64(ok)})
 		}()
 	}
-	// The batch epoch freezes the near-warm-start snapshot: whatever the
-	// cache held before this line is fair game for every probe; whatever the
-	// probes themselves insert is not. With NearStarts off the bump is inert.
-	var snap uint64
+	// Every probe warm-starts from the incumbents known before the batch;
+	// the batch's own results join the list afterwards, in input order.
+	var near []*incumbent
 	if s.cfg.NearStarts {
-		snap = s.epoch.Add(1)
+		s.incMu.Lock()
+		near = append(near, s.incumbents...)
+		s.incMu.Unlock()
 	}
 	var next int64 = -1
 	work := func() {
@@ -760,13 +726,25 @@ func (s *Solver) SolveBatch(cos []solver.CO, seed int64) []solver.Result {
 			if i >= len(cos) {
 				break
 			}
-			sol, ok := s.solve(cos[i], seed+int64(i)*7919, snap)
+			sol, ok := s.solve(cos[i], probeSeed(seed, i), near)
 			out[i] = solver.Result{Sol: sol, OK: ok}
 		}
 	}
 	s.fanOut(len(cos)-1, work)
+	if s.cfg.NearStarts {
+		var added []*incumbent
+		for i, r := range out {
+			if r.OK {
+				added = append(added, newIncumbent(cos[i], probeSeed(seed, i), r.Sol))
+			}
+		}
+		s.addIncumbents(added...)
+	}
 	return out
 }
+
+// probeSeed is the seed SolveBatch gives its i-th probe.
+func probeSeed(seed int64, i int) int64 { return seed + int64(i)*7919 }
 
 // Minimize is the single-objective base case (§IV-B.1): minimize objective
 // target with no constraints beyond the [0,1]^D box.
@@ -781,44 +759,45 @@ func (s *Solver) Minimize(target int, seed int64) (objective.Solution, bool) {
 	return s.Solve(solver.CO{Target: target, Lo: lo, Hi: hi}, seed)
 }
 
-// subCache is the cross-expand subproblem cache: an LRU map from the exact
-// (target, seed, constraint box) key to the solved incumbent. The PF expand
-// loop and service-level re-optimizations keep revisiting the same
-// ε-constraint rectangles; replaying the remembered solution is bit-identical
-// to re-solving because solves are deterministic functions of (co, seed).
-type subCache struct {
-	mu      sync.Mutex
-	cap     int
-	lru     *list.List // front = most recently used
-	entries map[string]*list.Element
-	// Stats mirror the telemetry counters for callers without a registry.
-	hits, misses, rejects, nearHits uint64
-}
+// maxIncumbents bounds the NearStarts candidate list; the oldest entries are
+// dropped first.
+const maxIncumbents = 512
 
-type cacheEntry struct {
-	key string
-	sol objective.Solution
-	ok  bool
-	// target, lo and hi identify the entry's ε-constraint box for the
-	// NearStarts neighbour search (lo/hi are copies of the solved CO's
-	// bounds); epoch is the solver epoch at insertion, gating which batches
-	// may warm-start from this entry.
+// incumbent is one earlier feasible solve remembered for near warm starts:
+// its ε-constraint box (copies of the CO bounds, which callers may reuse),
+// the solution's configuration, and the exact (target, seed, box) key that
+// breaks distance ties.
+type incumbent struct {
 	target int
 	lo, hi []float64
-	epoch  uint64
+	x      []float64
+	key    string
 }
 
-func newSubCache(cap int) *subCache {
-	return &subCache{
-		cap:     cap,
-		lru:     list.New(),
-		entries: make(map[string]*list.Element),
+func newIncumbent(co solver.CO, seed int64, sol objective.Solution) *incumbent {
+	return &incumbent{
+		target: co.Target,
+		lo:     append([]float64(nil), co.Lo...),
+		hi:     append([]float64(nil), co.Hi...),
+		x:      append([]float64(nil), sol.X...),
+		key:    boxKey(co, seed),
 	}
 }
 
-// cacheKey encodes (target, seed, Lo, Hi) exactly — raw float64 bits — so
-// distinct constraint boxes can never collide.
-func cacheKey(co solver.CO, seed int64) string {
+// addIncumbents appends to the candidate list, dropping the oldest entries
+// beyond maxIncumbents.
+func (s *Solver) addIncumbents(inc ...*incumbent) {
+	s.incMu.Lock()
+	defer s.incMu.Unlock()
+	s.incumbents = append(s.incumbents, inc...)
+	if over := len(s.incumbents) - maxIncumbents; over > 0 {
+		s.incumbents = append(s.incumbents[:0], s.incumbents[over:]...)
+	}
+}
+
+// boxKey encodes (target, seed, Lo, Hi) exactly — raw float64 bits — so
+// distinct constraint boxes never compare equal.
+func boxKey(co solver.CO, seed int64) string {
 	b := make([]byte, 16+16*len(co.Lo))
 	binary.LittleEndian.PutUint64(b, uint64(co.Target))
 	binary.LittleEndian.PutUint64(b[8:], uint64(seed))
@@ -845,84 +824,8 @@ func cloneSolution(sol objective.Solution) objective.Solution {
 	return out
 }
 
-// cacheGet looks up the solved subproblem. The poison guard lives here: a
-// cached "feasible" incumbent whose values violate the requested constraint
-// box (possible only through external Prime calls or model retraining without
-// ResetCache) is rejected and evicted rather than returned, so a stale or
-// hostile entry can never leak an out-of-box solution into a frontier.
-func (s *Solver) cacheGet(co solver.CO, seed int64) (objective.Solution, bool, bool) {
-	c := s.cache
-	if c == nil {
-		return objective.Solution{}, false, false
-	}
-	key := cacheKey(co, seed)
-	c.mu.Lock()
-	el, found := c.entries[key]
-	if !found {
-		c.misses++
-		c.mu.Unlock()
-		s.telCacheMiss.Add(1)
-		s.telCacheMissW.Add(1)
-		return objective.Solution{}, false, false
-	}
-	e := el.Value.(*cacheEntry)
-	if e.ok && !s.feasible(co, e.sol.F) {
-		c.lru.Remove(el)
-		delete(c.entries, key)
-		c.rejects++
-		c.misses++
-		c.mu.Unlock()
-		s.telCacheRej.Add(1)
-		s.telCacheRejW.Add(1)
-		s.telCacheMiss.Add(1)
-		s.telCacheMissW.Add(1)
-		return objective.Solution{}, false, false
-	}
-	c.lru.MoveToFront(el)
-	sol := cloneSolution(e.sol)
-	ok := e.ok
-	c.hits++
-	c.mu.Unlock()
-	s.telCacheHit.Add(1)
-	s.telCacheHitW.Add(1)
-	return sol, ok, true
-}
-
-func (s *Solver) cachePut(co solver.CO, seed int64, sol objective.Solution, ok bool) {
-	if s.cache == nil {
-		return
-	}
-	s.cache.put(cacheKey(co, seed), cloneSolution(sol), ok, co, s.epoch.Load())
-}
-
-func (c *subCache) put(key string, sol objective.Solution, ok bool, co solver.CO, epoch uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, exists := c.entries[key]; exists {
-		// Overwrite keeps the original insertion epoch: an entry that was
-		// already visible to running batches stays visible, one that wasn't
-		// doesn't become so mid-batch.
-		e := el.Value.(*cacheEntry)
-		e.sol, e.ok = sol, ok
-		c.lru.MoveToFront(el)
-		return
-	}
-	for c.lru.Len() >= c.cap {
-		back := c.lru.Back()
-		delete(c.entries, back.Value.(*cacheEntry).key)
-		c.lru.Remove(back)
-	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{
-		key: key, sol: sol, ok: ok,
-		target: co.Target,
-		lo:     append([]float64(nil), co.Lo...),
-		hi:     append([]float64(nil), co.Hi...),
-		epoch:  epoch,
-	})
-}
-
-// boxDistance is the L1 distance between the requested constraint box and a
-// cached entry's box over their finite bounds. Boxes whose infinity patterns
+// boxDistance is the L1 distance between the requested constraint box and an
+// incumbent's box over their finite bounds. Boxes whose infinity patterns
 // differ answer a structurally different subproblem and are incomparable.
 func boxDistance(co solver.CO, lo, hi []float64) (float64, bool) {
 	d := 0.0
@@ -945,96 +848,29 @@ func boxDistance(co solver.CO, lo, hi []float64) (float64, bool) {
 	return d, true
 }
 
-// nearWarmStart copies the nearest visible cached neighbour's solution into
-// dst and reports whether it found one. Only feasible entries with the same
-// target, a comparable box, and an insertion epoch before snap qualify; ties
-// in distance break toward the smaller key so the scan is independent of map
-// iteration order. (A same-box different-seed entry has distance 0 — the
+// nearestIncumbent copies the configuration of the nearest incumbent with the
+// same target and a comparable box into dst and reports whether it found one.
+// Ties in distance break toward the smaller key, so the choice does not depend
+// on list order. (A same-box different-seed incumbent has distance 0 — the
 // most common near hit in PF's re-probing pattern.)
-func (s *Solver) nearWarmStart(co solver.CO, snap uint64, dst []float64) bool {
-	if !s.cfg.NearStarts || s.cache == nil {
-		return false
-	}
-	c := s.cache
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func nearestIncumbent(near []*incumbent, co solver.CO, dst []float64) bool {
 	bestD := math.Inf(1)
-	bestKey := ""
-	var bestX []float64
-	for key, el := range c.entries {
-		e := el.Value.(*cacheEntry)
-		if e.epoch >= snap || !e.ok || e.target != co.Target || len(e.sol.X) != len(dst) {
+	var best *incumbent
+	for _, e := range near {
+		if e.target != co.Target || len(e.x) != len(dst) {
 			continue
 		}
 		d, comparable := boxDistance(co, e.lo, e.hi)
 		if !comparable {
 			continue
 		}
-		if d < bestD || (d == bestD && key < bestKey) {
-			bestD, bestKey, bestX = d, key, e.sol.X
+		if d < bestD || (best != nil && d == bestD && e.key < best.key) {
+			bestD, best = d, e
 		}
 	}
-	if bestX == nil {
+	if best == nil {
 		return false
 	}
-	copy(dst, bestX)
-	c.nearHits++
+	copy(dst, best.x)
 	return true
-}
-
-// Prime seeds the subproblem cache with an externally-known incumbent — e.g.
-// a neighbouring ε-constraint rectangle's solution that the caller knows also
-// solves this box. The solution is cloned; a later Solve with the same (co,
-// seed) replays it instead of descending. Feasibility is NOT validated here:
-// the poison guard in cacheGet re-checks the incumbent against the box at
-// lookup time, so a bad priming is rejected then, not silently clamped in.
-// No-op when the cache is disabled.
-func (s *Solver) Prime(co solver.CO, seed int64, sol objective.Solution, ok bool) {
-	s.checkBounds(co)
-	if s.cache == nil {
-		return
-	}
-	if ok && (len(sol.F) != s.k || len(sol.X) != s.dim) {
-		panic(fmt.Sprintf("mogd: Prime solution has %d objectives and %d dims, want %d and %d",
-			len(sol.F), len(sol.X), s.k, s.dim))
-	}
-	s.cache.put(cacheKey(co, seed), cloneSolution(sol), ok, co, s.epoch.Load())
-}
-
-// ResetCache drops every cached subproblem. Callers that retrain or swap the
-// underlying models must call this — cached incumbents encode the old models'
-// values.
-func (s *Solver) ResetCache() {
-	c := s.cache
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.lru.Init()
-	c.entries = make(map[string]*list.Element)
-	c.mu.Unlock()
-}
-
-// CacheStats returns the subproblem cache's hit, miss, and poison-reject
-// counts (all zero when the cache is disabled).
-func (s *Solver) CacheStats() (hits, misses, rejects uint64) {
-	c := s.cache
-	if c == nil {
-		return 0, 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.rejects
-}
-
-// CacheNearHits returns how many solves were warm-started from a cached
-// neighbour (NearStarts). Always zero with NearStarts off or no cache.
-func (s *Solver) CacheNearHits() uint64 {
-	c := s.cache
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nearHits
 }

@@ -42,9 +42,6 @@ const (
 	MetricMOGDClamps     = "udao_mogd_clamps_total"
 	MetricMOGDSolves     = "udao_mogd_solves_total"
 	MetricMOGDInfeasible = "udao_mogd_infeasible_total"
-	MetricMOGDCacheHit   = "udao_mogd_subcache_hits_total"
-	MetricMOGDCacheMiss  = "udao_mogd_subcache_misses_total"
-	MetricMOGDCacheRej   = "udao_mogd_subcache_rejects_total"
 	MetricPFProbes       = "udao_pf_probes_total"
 	MetricPFExpansions   = "udao_pf_expansions_total"
 	MetricPFArenaReuse   = "udao_pf_arena_reuses_total"
@@ -84,8 +81,8 @@ const (
 // these; udao_shed_total additionally appears per reason, e.g.
 // udao_shed_total{reason="admission"}, and the eviction counter per cause
 // (udao_serving_cache_evictions_total{reason="lru"|"ttl"}).
-// MetricMOGDCacheNear counts the PR-5 subproblem cache's near hits: exact-key
-// misses answered by warm-starting MOGD from the nearest cached
+// MetricMOGDCacheNear counts MOGD near warm-starts: batch probes whose last
+// start row was seeded from the incumbent of the nearest earlier
 // ε-constraint box (see mogd.Config.NearStarts).
 const (
 	MetricServingRequests  = "udao_serving_requests_total"
@@ -98,6 +95,16 @@ const (
 	MetricServingInflight  = "udao_serving_inflight_solves"
 	MetricShed             = "udao_shed_total"
 	MetricMOGDCacheNear    = "udao_pf_subcache_near_hits_total"
+)
+
+// MetricMOGDCacheHit and MetricMOGDCacheMiss name the series of MOGD's former
+// exact-replay subproblem cache. Nothing feeds or registers them any more; the
+// constants stay because the benchmark module (perfbench) still reads them,
+// and its mogd.subcache_hit_ratio reads 0, which is what the cache scored on
+// service traffic.
+const (
+	MetricMOGDCacheHit  = "udao_mogd_subcache_hits_total"
+	MetricMOGDCacheMiss = "udao_mogd_subcache_misses_total"
 )
 
 // Calibration and warm-up metric names (PR: prediction–outcome ledger).
@@ -149,9 +156,6 @@ func (t *Telemetry) registerStandard() {
 	r.Counter(MetricMOGDClamps, "MOGD boundary clamps applied")
 	r.Counter(MetricMOGDSolves, "MOGD constrained solves completed")
 	r.Counter(MetricMOGDInfeasible, "MOGD solves that found no feasible point")
-	r.Counter(MetricMOGDCacheHit, "MOGD subproblem-cache hits (solves replayed from a cached incumbent)")
-	r.Counter(MetricMOGDCacheMiss, "MOGD subproblem-cache misses")
-	r.Counter(MetricMOGDCacheRej, "MOGD subproblem-cache entries rejected by the constraint-box guard")
 	r.Counter(MetricPFProbes, "Progressive Frontier probes issued")
 	r.Counter(MetricPFExpansions, "Progressive Frontier Expand calls completed")
 	r.Counter(MetricPFArenaReuse, "PF expand-loop scratch-arena buffer reuses")
@@ -179,7 +183,7 @@ func (t *Telemetry) registerStandard() {
 	r.Gauge(MetricServingEntries, "optimizer entries currently held by the serving cache")
 	r.Gauge(MetricServingInflight, "solves currently holding an admission slot")
 	r.Counter(MetricShed, "requests shed by admission control (also per reason)")
-	r.Counter(MetricMOGDCacheNear, "MOGD subproblem-cache near hits (solves warm-started from the nearest cached box)")
+	r.Counter(MetricMOGDCacheNear, "MOGD near warm-starts (solves seeded from the nearest earlier incumbent's box)")
 	r.Counter(MetricServingWarmup, "serving-cache entries primed from the run registry at boot")
 	r.Counter(MetricCalibPairs, "prediction-outcome pairs appended to the calibration ledger (also per workload+objective)")
 	r.Gauge(MetricCalibMAPE, "rolling-window mean absolute relative prediction error per workload+objective")

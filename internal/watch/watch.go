@@ -15,9 +15,6 @@
 //   - hv_drop_streak: per workload, DropStreak (3) consecutive recorded runs
 //     with a negative hypervolume delta — the frontier is getting worse, not
 //     noisier. Evaluated over the run registry, so it survives restarts.
-//   - subcache_collapse: the MOGD subproblem cache's hit rate over the last
-//     window fell below HitRateFloor (0.10) with >= HitRateMin (50) lookups —
-//     the cross-expand reuse that keeps solves fast has stopped working.
 //   - latency_anomaly: the window's mean solve latency exceeded
 //     EWMADeviation (3x) times its exponentially weighted moving average.
 //   - eval_stall: the evaluator's model-pass rate collapsed below 1/EWMADeviation
@@ -100,8 +97,6 @@ type Config struct {
 	SLOBurnThreshold float64 // default 0.5
 	SLOBurnMin       uint64  // default 4
 	DropStreak       int     // default 3
-	HitRateFloor     float64 // default 0.10
-	HitRateMin       uint64  // default 50
 	EWMAFactor       float64 // default 0.3
 	EWMADeviation    float64 // default 3
 	EWMAMinObs       uint64  // default 3 window observations
@@ -140,12 +135,6 @@ func (c *Config) defaults() {
 	}
 	if c.DropStreak <= 0 {
 		c.DropStreak = 3
-	}
-	if c.HitRateFloor <= 0 {
-		c.HitRateFloor = 0.10
-	}
-	if c.HitRateMin == 0 {
-		c.HitRateMin = 50
 	}
 	if c.EWMAFactor <= 0 || c.EWMAFactor > 1 {
 		c.EWMAFactor = 0.3
@@ -322,7 +311,6 @@ func (w *Watchdog) EvalOnce() []Alert {
 	var raised []Alert
 	if w.hasPrev {
 		raised = append(raised, w.ruleSLOBurn(snap)...)
-		raised = append(raised, w.ruleSubcacheCollapse(snap)...)
 		raised = append(raised, w.ruleLatencyAnomaly(snap)...)
 		raised = append(raised, w.ruleEvalStall(snap, now)...)
 		raised = append(raised, w.ruleShedBurst(snap)...)
@@ -467,45 +455,6 @@ func (w *Watchdog) ruleSLOBurn(snap telemetry.Snapshot) []Alert {
 			Value: frac, Threshold: w.cfg.SLOBurnThreshold,
 			Summary: fmt.Sprintf("workload %q: %d of %d solves in the last window breached the latency SLO (%.0f%%)", wl, breach, total, 100*frac),
 		})
-	}
-	return out
-}
-
-// ruleSubcacheCollapse: MOGD subproblem-cache hit rate over the window.
-func (w *Watchdog) ruleSubcacheCollapse(snap telemetry.Snapshot) []Alert {
-	var out []Alert
-	check := func(key, wl, hitName, missName string) {
-		hits := w.counterDelta(snap, hitName)
-		misses := w.counterDelta(snap, missName)
-		lookups := hits + misses
-		if lookups < w.cfg.HitRateMin {
-			return
-		}
-		rate := float64(hits) / float64(lookups)
-		evidence := fmt.Sprintf("%d/%d", snap.Counters[hitName], snap.Counters[missName])
-		if rate >= w.cfg.HitRateFloor {
-			delete(w.fired, key)
-			return
-		}
-		if w.fired[key] == evidence {
-			return
-		}
-		w.fired[key] = evidence
-		scope := "global"
-		if wl != "" {
-			scope = fmt.Sprintf("workload %q", wl)
-		}
-		out = append(out, Alert{
-			Rule: "subcache_collapse", Severity: "warning", Workload: wl,
-			Value: rate, Threshold: w.cfg.HitRateFloor,
-			Summary: fmt.Sprintf("%s: MOGD subproblem-cache hit rate %.1f%% over %d lookups (floor %.0f%%)", scope, 100*rate, lookups, 100*w.cfg.HitRateFloor),
-		})
-	}
-	check("subcache|", "", telemetry.MetricMOGDCacheHit, telemetry.MetricMOGDCacheMiss)
-	for _, wl := range workloadSeries(snap, telemetry.MetricMOGDCacheMiss) {
-		check("subcache|"+wl, wl,
-			telemetry.Labeled(telemetry.MetricMOGDCacheHit, "workload", wl),
-			telemetry.Labeled(telemetry.MetricMOGDCacheMiss, "workload", wl))
 	}
 	return out
 }

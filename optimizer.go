@@ -103,8 +103,8 @@ type Options struct {
 	RunID string
 	// Workload, when set together with Telemetry, labels the per-workload
 	// metric series fed below this optimizer (the uncertain-fraction gauge,
-	// the MOGD subproblem-cache counters). Typically the workload name of
-	// the originating service request.
+	// the MOGD near warm-start counter). Typically the workload name of the
+	// originating service request.
 	Workload string
 }
 
@@ -295,8 +295,8 @@ func (o *Optimizer) evaluator() (*problem.Evaluator, error) {
 
 func (o *Optimizer) mogdSolver(ev *problem.Evaluator) (*mogd.Solver, error) {
 	// NearStarts: the PF loop's batches revisit neighbouring ε-constraint
-	// boxes across expands, which is exactly the access pattern the
-	// subproblem cache's near-warm-start exploits.
+	// boxes across expands, so each probe warm-starts from the nearest
+	// earlier box's incumbent.
 	return mogd.NewOnEvaluator(ev, mogd.Config{Starts: o.opt.Starts, Iters: o.opt.Iters, Alpha: o.opt.Alpha, Seed: o.opt.Seed, NearStarts: true, Telemetry: o.opt.Telemetry, RunID: o.opt.RunID, Workload: o.opt.Workload})
 }
 

@@ -13,6 +13,9 @@
 #   4. full test suite
 #   5. benchmark smoke: one iteration of the MOGD benchmarks, so a broken
 #      benchmark harness fails CI instead of the next perf investigation
+#   6. vet and test the /optimize benchmark module (perfbench/, its own Go
+#      module), so removing an identifier it compiles against fails CI
+#      instead of the benchmark run
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,5 +32,6 @@ go build ./...
 go test -race ./internal/linalg/... ./internal/solver/... ./internal/model/... ./internal/core/... ./internal/problem/... ./internal/space/... ./internal/recommend/... ./internal/conformance/... ./internal/telemetry/... ./internal/runlog/... ./internal/calib/... ./internal/watch/... ./internal/serving/... ./internal/service/...
 go test ./...
 go test -run '^$' -bench MOGD -benchtime 1x ./internal/solver/mogd/
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "ci: all gates passed"

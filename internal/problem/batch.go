@@ -47,7 +47,7 @@ func (e *Evaluator) evalBatchMatrix(xs [][]float64) []objective.Point {
 
 	miss := make([]int, 0, len(xs))
 	var keys []string
-	if e.memo == nil {
+	if e.opts.MemoCap <= 0 {
 		for i := range xs {
 			miss = append(miss, i)
 		}
@@ -92,7 +92,7 @@ func (e *Evaluator) evalBatchMatrix(xs [][]float64) []objective.Point {
 	for mi, i := range miss {
 		out[i] = objective.Point(vals.Row(mi)).Clone()
 	}
-	if e.memo != nil {
+	if e.opts.MemoCap > 0 {
 		e.memoMu.Lock()
 		for _, i := range miss {
 			if len(e.memo) >= e.opts.MemoCap {

@@ -2,6 +2,7 @@ package problem
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/model"
 	"repro/internal/space"
@@ -31,7 +32,10 @@ type StageObjective struct {
 // RoutedObjective assembles one StageObjective into a single model over the
 // composite's concatenated encoding: a model.Routed feeding every non-nil
 // stage model its own sub-vector. The udao facade uses it to wrap pipeline
-// objectives before orientation (Maximize) handling.
+// objectives before orientation (Maximize) handling. A single unweighted
+// stage model that reads the whole encoding in order (a flat problem posed
+// as a one-stage composite) is returned as is, sparing every evaluation the
+// gather and scatter of a Routed.
 func RoutedObjective(c *space.Composite, obj StageObjective) (model.Model, error) {
 	if len(obj.Models) != c.NumStages() {
 		return nil, fmt.Errorf("problem: %d stage models for %d stages", len(obj.Models), c.NumStages())
@@ -60,6 +64,11 @@ func RoutedObjective(c *space.Composite, obj StageObjective) (model.Model, error
 	}
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("problem: no stage models")
+	}
+	// A stage's dims are distinct flat dims, so D of them in ascending order
+	// are exactly 0..D-1.
+	if len(ms) == 1 && weights == nil && len(index[0]) == c.Dim() && sort.IntsAreSorted(index[0]) {
+		return ms[0], nil
 	}
 	return model.NewRouted(c.Dim(), ms, index, weights)
 }

@@ -156,3 +156,49 @@ func TestNewCompositeValidation(t *testing.T) {
 		t.Error("weight-count mismatch accepted")
 	}
 }
+
+// TestRoutedObjectiveOneStageIdentity: a flat problem posed as a one-stage
+// composite (every knob shared, no weight) gets its stage model back as is;
+// a stage whose layout differs from the flat encoding, or a weighted stage,
+// still goes through a model.Routed.
+func TestRoutedObjectiveOneStageIdentity(t *testing.T) {
+	vars := []space.Var{
+		{Name: "instances", Kind: space.Integer, Min: 2, Max: 14},
+		{Name: "cores", Kind: space.Integer, Min: 1, Max: 4},
+		{Name: "partitions", Kind: space.Integer, Min: 8, Max: 1000, Log: true},
+	}
+	lat := model.Func{D: 3, F: func(x []float64) float64 { return (1 - x[0]) * (1 - x[1]) * x[2] }}
+
+	flat := space.MustNewComposite(vars, []space.Stage{{Name: "job", Vars: vars}})
+	m, err := RoutedObjective(flat, StageObjective{Models: []model.Model{lat}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.(model.Func); !ok {
+		t.Fatalf("one-stage identity composite returned %T, want the stage model", m)
+	}
+
+	// Only "cores" is shared, so the flat encoding is cores, job.instances,
+	// job.partitions while the stage reads instances, cores, partitions.
+	local := space.MustNewComposite(vars[1:2], []space.Stage{{Name: "job", Vars: vars}})
+	if m, err = RoutedObjective(local, StageObjective{Models: []model.Model{lat}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.(model.Routed); !ok {
+		t.Fatalf("stage with local knobs returned %T, want model.Routed", m)
+	}
+	x := []float64{0.2, 0.7, 0.4}
+	if got, want := m.Predict(x), lat.Predict(local.Gather(0, x, nil)); got != want {
+		t.Fatalf("routed stage = %v, gathered stage model %v", got, want)
+	}
+
+	if m, err = RoutedObjective(flat, StageObjective{Models: []model.Model{lat}, Weights: []float64{2}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.(model.Routed); !ok {
+		t.Fatalf("weighted stage returned %T, want model.Routed", m)
+	}
+	if got, want := m.Predict(x), 2*lat.Predict(x); got != want {
+		t.Fatalf("weighted stage = %v, want %v", got, want)
+	}
+}

@@ -182,7 +182,9 @@ func (e *Evaluator) Eval(x []float64) objective.Point {
 // have length k. Memoized: a repeated point costs a cache lookup, not k
 // model passes.
 func (e *Evaluator) EvalInto(x []float64, f objective.Point) {
-	if e.memo == nil {
+	// Test MemoCap, not e.memo: a concurrent flush replaces e.memo under
+	// memoMu.
+	if e.opts.MemoCap <= 0 {
 		e.evalModels(x, f)
 		return
 	}

@@ -110,6 +110,26 @@ func TestMemoCapFlush(t *testing.T) {
 	if f := e.Eval(x); f[0] != lin().Predict(x) {
 		t.Fatal("post-flush eval wrong")
 	}
+
+	// Flushes racing with lookups from other goroutines (a parallel solve
+	// batch): run under -race.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 64; i++ {
+				x := []float64{float64(i) / 64, float64(g) / 4}
+				if f := e.Eval(x); f[0] != lin().Predict(x) {
+					t.Errorf("concurrent eval at %v = %v", x, f)
+				}
+				if fs := e.EvalBatch([][]float64{x, {0.5, float64(i) / 64}}); fs[0][0] != lin().Predict(x) {
+					t.Errorf("concurrent batch eval at %v = %v", x, fs[0])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestEvalBatchDeterministicOrder(t *testing.T) {

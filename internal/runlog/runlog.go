@@ -152,8 +152,8 @@ type Record struct {
 
 	// PhaseBreakdown maps phase labels ("service", "pf", "mogd", "eval",
 	// "model", "stage:<name>") to per-phase self time in seconds, computed
-	// from the request's span subtree. Self times sum to approximately
-	// SolveSec; absent when tracing was off for the run.
+	// from the request's span subtree. Self times sum to the root span's
+	// duration, just under SolveSec; absent when tracing was off for the run.
 	PhaseBreakdown map[string]float64 `json:"phase_breakdown,omitempty"`
 }
 

@@ -11,7 +11,9 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -99,10 +101,11 @@ func (s *Service) serving() *serving.Cache {
 }
 
 // OptimizeRequest is the /optimize request body. A flat request names one
-// workload; a pipeline request additionally lists Stages — the workloads of
-// the pipeline's stages in order — and optionally SharedKnobs, and is solved
-// over the stage-wise composite space (shared knobs tied across stages, every
-// other knob free per stage).
+// workload and is built as a one-stage pipeline over it; a pipeline request
+// additionally lists Stages — the workloads of the pipeline's stages in
+// order — and optionally SharedKnobs, and is solved over the stage-wise
+// composite space (shared knobs tied across stages, every other knob free
+// per stage).
 type OptimizeRequest struct {
 	Workload string `json:"workload"`
 	// Objectives to optimize; default ["latency", "cores"]. Prefix an
@@ -118,7 +121,8 @@ type OptimizeRequest struct {
 	Stages []string `json:"stages,omitempty"`
 	// SharedKnobs names the cluster knobs tied to a single value across all
 	// stages; every other knob is tuned independently per stage. Empty means
-	// all knobs are shared (stages differ only in their models).
+	// all knobs are shared (stages differ only in their models). Only valid
+	// with Stages.
 	SharedKnobs []string `json:"shared_knobs,omitempty"`
 }
 
@@ -165,99 +169,98 @@ type RunTelemetry struct {
 	TraceEvents int    `json:"trace_events"`
 }
 
-// resolveFor builds the objective list, pulling learned models from the
-// model server and exact models from the registry.
-func (s *Service) resolveFor(workload string, names []string) ([]udao.Objective, error) {
-	if len(names) == 0 {
-		names = []string{"latency", "cores"}
+// objectiveNames returns the request's objective list, defaulting to
+// ["latency", "cores"].
+func objectiveNames(req OptimizeRequest) []string {
+	if len(req.Objectives) == 0 {
+		return []string{"latency", "cores"}
 	}
-	objs := make([]udao.Objective, 0, len(names))
-	for _, n := range names {
-		maximize := false
-		if len(n) > 0 && n[0] == '-' {
-			maximize = true
-			n = n[1:]
-		}
-		if m, ok := s.Exact[n]; ok {
-			objs = append(objs, udao.Objective{Name: n, Model: m, Maximize: maximize})
-			continue
-		}
-		m, err := s.Server.Model(workload, n)
-		if err != nil {
-			return nil, err
-		}
-		objs = append(objs, udao.Objective{Name: n, Model: m, Maximize: maximize})
-	}
-	return objs, nil
+	return req.Objectives
 }
 
-// pipelineOptimizer builds the stage-wise optimizer of a pipeline request:
-// one stage per listed workload over the full server knob space (so the
-// server's models fit the stage sub-spaces unchanged), shared knobs tied,
-// learned objectives summed across stages, exact objectives contributed once.
-func (s *Service) pipelineOptimizer(req OptimizeRequest, probes int, runID string, root telemetry.Span) (*udao.Optimizer, error) {
+// validate rejects requests the builder would accept silently but cannot
+// serve meaningfully, and ones that would split one problem's cache key.
+func validate(req OptimizeRequest) error {
+	switch {
+	case req.Workload == "":
+		return fmt.Errorf("service: workload required")
+	case req.Probes < 0:
+		return fmt.Errorf("service: negative probes %d", req.Probes)
+	case len(req.SharedKnobs) > 0 && len(req.Stages) == 0:
+		return fmt.Errorf("service: shared_knobs requires stages")
+	case slices.Contains(req.Stages, ""):
+		return fmt.Errorf("service: empty stage workload")
+	}
+	seen := make(map[string]bool)
+	for _, n := range objectiveNames(req) {
+		if n = strings.TrimPrefix(n, "-"); seen[n] {
+			return fmt.Errorf("service: duplicate objective %q", n)
+		}
+		seen[n] = true
+	}
+	clear(seen)
+	for _, n := range req.SharedKnobs {
+		if seen[n] {
+			return fmt.Errorf("service: duplicate shared knob %q", n)
+		}
+		seen[n] = true
+	}
+	return nil
+}
+
+// build builds the optimizer answering a request. A flat request is the
+// one-stage case of a pipeline: its single stage is the request's workload.
+// Each stage spans the full server knob space (so the server's models fit
+// the stage sub-spaces unchanged), every knob is shared unless a pipeline
+// lists shared knobs, learned objectives sum the per-stage models, and exact
+// objectives contribute once.
+func (s *Service) build(req OptimizeRequest, probes int, runID string, root telemetry.Span) (*udao.Optimizer, error) {
 	spc := s.Server.Space()
-	var shared []udao.Var
-	if len(req.SharedKnobs) == 0 {
-		shared = append(shared, spc.Vars...)
-	} else {
-		want := make(map[string]bool, len(req.SharedKnobs))
+	workloads := req.Stages
+	if len(workloads) == 0 {
+		workloads = []string{req.Workload}
+	}
+	shared := spc.Vars
+	if len(req.SharedKnobs) > 0 {
 		for _, n := range req.SharedKnobs {
 			if spc.Lookup(n) < 0 {
 				return nil, fmt.Errorf("service: unknown shared knob %q", n)
 			}
-			want[n] = true
 		}
 		// Server-space order keeps the flat layout deterministic regardless of
 		// how the request orders the names.
-		for _, v := range spc.Vars {
-			if want[v.Name] {
-				shared = append(shared, v)
-			}
+		shared = slices.DeleteFunc(slices.Clone(spc.Vars), func(v udao.Var) bool { return !slices.Contains(req.SharedKnobs, v.Name) })
+	}
+	stages := make([]udao.Stage, len(workloads))
+	seen := make(map[string]int, len(workloads))
+	for i, w := range workloads {
+		stages[i] = udao.Stage{Name: w, Vars: spc.Vars}
+		if seen[w]++; seen[w] > 1 {
+			stages[i].Name = fmt.Sprintf("%s#%d", w, seen[w])
 		}
 	}
-	stages := make([]udao.Stage, len(req.Stages))
-	seen := make(map[string]int, len(req.Stages))
-	for i, w := range req.Stages {
-		if w == "" {
-			return nil, fmt.Errorf("service: empty stage workload")
-		}
-		name := w
-		seen[w]++
-		if seen[w] > 1 {
-			name = fmt.Sprintf("%s#%d", w, seen[w])
-		}
-		stages[i] = udao.Stage{Name: name, Vars: spc.Vars}
-	}
-	objNames := req.Objectives
-	if len(objNames) == 0 {
-		objNames = []string{"latency", "cores"}
-	}
-	objs := make([]udao.PipelineObjective, 0, len(objNames))
-	for _, n := range objNames {
-		maximize := false
-		if len(n) > 0 && n[0] == '-' {
-			maximize = true
-			n = n[1:]
-		}
+	names := objectiveNames(req)
+	objs := make([]udao.PipelineObjective, 0, len(names))
+	for _, n := range names {
+		name := strings.TrimPrefix(n, "-")
 		ms := make([]udao.Model, len(stages))
-		if m, ok := s.Exact[n]; ok {
+		if m, ok := s.Exact[name]; ok {
 			// A known function of the knobs has one value for the pipeline;
 			// charge it once through the first stage rather than per stage.
 			ms[0] = m
 		} else {
 			for i := range stages {
 				// Per-stage span around the model fetch: lazy training is the
-				// dominant cost of a cold pipeline request, and breaking it out
-				// per stage shows which stage's model the request paid for.
+				// dominant cost of a cold request, and breaking it out per stage
+				// shows which stage's model the request paid for.
 				var sp telemetry.Span
 				if s.Telemetry != nil {
 					sp = s.Telemetry.Trace.StartSpan(telemetry.LevelRun, runID, root.ID(), "stage", stages[i].Name)
 					s.Server.SetTraceContext(runID, sp.ID())
 				}
-				m, err := s.Server.Model(req.Stages[i], n)
+				m, err := s.Server.Model(workloads[i], name)
 				if s.Telemetry != nil {
-					sp.End(n, nil)
+					sp.End(name, nil)
 					s.Server.SetTraceContext(runID, root.ID())
 				}
 				if err != nil {
@@ -266,7 +269,7 @@ func (s *Service) pipelineOptimizer(req OptimizeRequest, probes int, runID strin
 				ms[i] = m
 			}
 		}
-		objs = append(objs, udao.PipelineObjective{Name: n, StageModels: ms, Maximize: maximize})
+		objs = append(objs, udao.PipelineObjective{Name: name, StageModels: ms, Maximize: name != n})
 	}
 	c, err := udao.NewCompositeSpace(shared, stages)
 	if err != nil {
@@ -274,7 +277,7 @@ func (s *Service) pipelineOptimizer(req OptimizeRequest, probes int, runID strin
 	}
 	// The composite search space grows with the stage count; scale MOGD's
 	// multi-start budget with it so frontier diversity doesn't collapse on
-	// the concatenated encoding.
+	// the concatenated encoding. One stage gets MOGD's default of 8.
 	return udao.NewPipelineOptimizer(c, objs, udao.Options{Probes: probes, Starts: 8 * len(stages), Seed: s.Seed, Telemetry: s.Telemetry, RunID: runID, Workload: req.Workload})
 }
 
@@ -285,23 +288,18 @@ func (s *Service) pipelineOptimizer(req OptimizeRequest, probes int, runID strin
 // incrementally-expanded run (§IV-A). The objective list is normalized to
 // its default before hashing, so an omitted list and an explicit
 // ["latency","cores"] share one entry — and so a record's defaulted
-// objective list reproduces the live key at warm-up.
+// objective list reproduces the live key at warm-up. Every field is length-
+// prefixed and every list count-prefixed, so the key is injective: no
+// workload name can spell out another request's objectives.
 func requestKey(req OptimizeRequest) string {
-	key := req.Workload
-	names := req.Objectives
-	if len(names) == 0 {
-		names = []string{"latency", "cores"}
+	b := make([]byte, 0, 64) // typical keys fit; spares the hit path regrowth
+	for _, fs := range [][]string{{req.Workload}, objectiveNames(req), req.Stages, req.SharedKnobs} {
+		b = append(strconv.AppendInt(b, int64(len(fs)), 10), '#')
+		for _, f := range fs {
+			b = append(append(strconv.AppendInt(b, int64(len(f)), 10), ':'), f...)
+		}
 	}
-	for _, n := range names {
-		key += "|" + n
-	}
-	for _, w := range req.Stages {
-		key += "|stage:" + w
-	}
-	for _, n := range req.SharedKnobs {
-		key += "|shared:" + n
-	}
-	return key
+	return string(b)
 }
 
 // Optimize computes a frontier (cached per workload+objectives+stages, so
@@ -315,8 +313,8 @@ func requestKey(req OptimizeRequest) string {
 // record ID is returned in the response.
 func (s *Service) Optimize(req OptimizeRequest) (*OptimizeResponse, error) {
 	start := time.Now()
-	if req.Workload == "" {
-		return nil, fmt.Errorf("service: workload required")
+	if err := validate(req); err != nil {
+		return nil, err
 	}
 	probes := req.Probes
 	if probes == 0 {
@@ -343,15 +341,7 @@ func (s *Service) Optimize(req OptimizeRequest) (*OptimizeResponse, error) {
 		if s.Telemetry != nil {
 			openRoot(s.Telemetry.NextRunID("opt"))
 		}
-		if len(req.Stages) > 0 {
-			return s.pipelineOptimizer(req, probes, runID, root)
-		}
-		objs, err := s.resolveFor(req.Workload, req.Objectives)
-		if err != nil {
-			return nil, err
-		}
-		return udao.NewOptimizer(s.Server.Space(), objs,
-			udao.Options{Probes: probes, Seed: s.Seed, Telemetry: s.Telemetry, RunID: runID, Workload: req.Workload})
+		return s.build(req, probes, runID, root)
 	}
 	solve := func(opt *udao.Optimizer, delta int) error {
 		openRoot(opt.RunID())
@@ -378,10 +368,6 @@ func (s *Service) Optimize(req OptimizeRequest) (*OptimizeResponse, error) {
 		return nil, err
 	}
 	opt.SetParentSpan(root.ID())
-	front, err := opt.ParetoFrontier()
-	if err != nil {
-		return fail(err)
-	}
 	plan, err := opt.Recommend(udao.WUN, req.Weights)
 	if err != nil {
 		return fail(err)
@@ -392,18 +378,24 @@ func (s *Service) Optimize(req OptimizeRequest) (*OptimizeResponse, error) {
 	for i, v := range spc.Vars {
 		conf[v.Name] = float64(plan.Config[i])
 	}
+	// Counted from the objective vectors: materializing every frontier plan
+	// (decoded config, objectives map, per-stage values) would cost each
+	// cache hit allocations in proportion to the frontier.
+	frontier := len(opt.FrontierPoints())
 	hits, misses := opt.MemoStats()
 	resp := &OptimizeResponse{
 		Config:         conf,
 		Objectives:     plan.Objectives,
-		FrontierPoints: len(front),
+		FrontierPoints: frontier,
 		UncertainSpace: uncertain,
 		ModelEvals:     opt.Evals(),
 		MemoHits:       hits,
 		PredictedStd:   opt.PredictedStd(plan.X),
 		Served:         served.String(),
 	}
-	if comp := opt.CompositeSpace(); comp != nil && plan.Stages != nil {
+	// Every optimizer is built over a composite space; only pipeline
+	// requests report its per-stage view.
+	if comp := opt.CompositeSpace(); len(req.Stages) > 0 && plan.Stages != nil {
 		resp.StageConfigs = make(map[string]map[string]float64, len(plan.Stages))
 		for si := range comp.Stages {
 			name := comp.Stages[si].Name
@@ -495,10 +487,6 @@ func (s *Service) record(req OptimizeRequest, opt *udao.Optimizer, resp *Optimiz
 	for i, v := range spc.Vars {
 		vars[i] = v.Name
 	}
-	objectives := req.Objectives
-	if len(objectives) == 0 {
-		objectives = []string{"latency", "cores"}
-	}
 	pts := opt.FrontierPoints()
 	front := make([]runlog.FrontierPoint, len(pts))
 	for i, f := range pts {
@@ -517,7 +505,7 @@ func (s *Service) record(req OptimizeRequest, opt *udao.Optimizer, resp *Optimiz
 	}
 	rec := runlog.Record{
 		Workload:       req.Workload,
-		Objectives:     objectives,
+		Objectives:     objectiveNames(req),
 		Weights:        req.Weights,
 		Probes:         req.Probes,
 		Space:          runlog.SpaceInfo{Vars: vars, Dim: spc.Dim()},
@@ -536,7 +524,7 @@ func (s *Service) record(req OptimizeRequest, opt *udao.Optimizer, resp *Optimiz
 		RootSpan:       rootSpan,
 		PhaseBreakdown: phases,
 	}
-	if comp := opt.CompositeSpace(); comp != nil {
+	if comp := opt.CompositeSpace(); len(req.Stages) > 0 {
 		rec.Stages = make([]runlog.StageInfo, comp.NumStages())
 		for si := range comp.Stages {
 			ss := comp.StageSpace(si)
@@ -544,11 +532,7 @@ func (s *Service) record(req OptimizeRequest, opt *udao.Optimizer, resp *Optimiz
 			for j, v := range ss.Vars {
 				svars[j] = v.Name
 			}
-			w := ""
-			if si < len(req.Stages) {
-				w = req.Stages[si]
-			}
-			rec.Stages[si] = runlog.StageInfo{Name: comp.Stages[si].Name, Workload: w, Vars: svars, Dim: ss.Dim()}
+			rec.Stages[si] = runlog.StageInfo{Name: comp.Stages[si].Name, Workload: req.Stages[si], Vars: svars, Dim: ss.Dim()}
 		}
 		rec.SharedKnobs = req.SharedKnobs
 		rec.StageRecommended = resp.StageConfigs

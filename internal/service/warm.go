@@ -29,7 +29,7 @@ func (s *Service) WarmCache(max int) int {
 			break
 		}
 		req, ok := requestFromRecord(recs[i])
-		if !ok {
+		if !ok || validate(req) != nil {
 			continue
 		}
 		key := requestKey(req)
@@ -91,15 +91,7 @@ func (s *Service) warmOne(req OptimizeRequest, probes int) (primed bool, err err
 			root = s.Telemetry.Trace.StartSpan(telemetry.LevelRun, runID, 0, "service", "warmup")
 			s.Server.SetTraceContext(runID, root.ID())
 		}
-		if len(req.Stages) > 0 {
-			return s.pipelineOptimizer(req, probes, runID, root)
-		}
-		objs, rerr := s.resolveFor(req.Workload, req.Objectives)
-		if rerr != nil {
-			return nil, rerr
-		}
-		return udao.NewOptimizer(s.Server.Space(), objs,
-			udao.Options{Probes: probes, Seed: s.Seed, Telemetry: s.Telemetry, RunID: runID, Workload: req.Workload})
+		return s.build(req, probes, runID, root)
 	}
 	solve := func(opt *udao.Optimizer, delta int) error {
 		if runID != "" {

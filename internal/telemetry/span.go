@@ -72,100 +72,78 @@ func (s Span) End(detail string, attrs map[string]float64) {
 	})
 }
 
-// PhaseTime is one row of a per-phase breakdown: how much wall time a trace
-// scope spent exclusive of its child spans.
+// PhaseTime is one row of a per-phase breakdown: how much of the request's
+// wall time a trace scope accounts for, and how long its spans were open.
 type PhaseTime struct {
 	Phase string        // trace scope ("service", "pf", "mogd", ...)
 	Spans int           // number of spans aggregated into this row
-	Total time.Duration // summed span durations (inclusive of children)
-	Self  time.Duration // summed self time (duration minus child coverage)
+	Total time.Duration // summed span durations: busy time, inclusive of children
+	Self  time.Duration // wall time attributed to the phase (see PhaseBreakdown)
 }
 
-// PhaseBreakdown computes per-scope self times from span-carrying events.
+// PhaseBreakdown computes per-scope wall-time attribution from span-carrying
+// events.
 //
-// Self time of a span is its duration minus the wall-clock coverage of its
-// direct children — overlapping children (a parallel solve batch) are merged
-// as intervals first, so concurrent child work is never double-counted and
-// the self times of a tree sum to exactly the root span's duration (clamped
-// at interval boundaries against timing skew). That property is what makes
-// the breakdown comparable to the run's recorded wall time.
+// It sweeps each span tree along the time axis. At every instant the wall
+// time goes to the deepest active spans — the open spans with no open child —
+// split equally among them, so parallel siblings (a concurrent solve batch)
+// share the instant rather than each claiming it. Children are first clipped
+// to their parent's interval against timing skew. The Self column of a tree
+// therefore sums to exactly the root span's duration, however parallel the
+// work under it, which is what makes the breakdown comparable to the run's
+// recorded wall time. Total is the busy time: summed span durations,
+// inclusive of children.
 //
 // If root is nonzero only the subtree below (and including) that span ID is
 // aggregated — the way to isolate one request when a cached optimizer's run
-// ID spans several. With root == 0 every span in events is aggregated and
-// Total is the summed duration of all parentless spans.
+// ID spans several. With root == 0 every span tree in events is aggregated
+// (each swept on its own) and the returned total is the summed duration of
+// all parentless spans.
 //
 // Returns the per-phase rows (sorted by descending self time, ties by phase
 // name) and the wall-clock total the self times sum to.
 func PhaseBreakdown(events []Event, root uint64) ([]PhaseTime, time.Duration) {
-	nodes := make(map[uint64]spanInterval, len(events))
+	// A child's span ID is greater than its parent's, so a subtree holds no
+	// span older than its root. Skipping those keeps the cost of isolating
+	// one request proportional to its own subtree, not to the whole run the
+	// request shares with every earlier request against the same optimizer.
+	nodes := make(map[uint64]*spanNode)
 	for _, e := range events {
-		if e.Span == 0 || e.Dur <= 0 {
+		if e.Span == 0 || e.Dur <= 0 || e.Span < root {
 			continue
 		}
-		nodes[e.Span] = spanInterval{scope: PhaseKey(e.Scope, e.Name), start: e.Time.Add(-e.Dur), end: e.Time, parent: e.Parent}
+		nodes[e.Span] = &spanNode{id: e.Span, scope: PhaseKey(e.Scope, e.Name), start: e.Time.Add(-e.Dur), end: e.Time, parent: e.Parent}
 	}
-	if len(nodes) == 0 {
-		return nil, 0
-	}
-
-	// Restrict to the requested subtree by walking parent links.
-	inTree := func(id uint64) bool { return true }
-	if root != 0 {
-		memo := make(map[uint64]bool, len(nodes))
-		var walk func(id uint64) bool
-		walk = func(id uint64) bool {
-			if id == root {
-				return true
-			}
-			if v, ok := memo[id]; ok {
-				return v
-			}
-			n, ok := nodes[id]
-			if !ok || n.parent == 0 || n.parent == id {
-				memo[id] = false
-				return false
-			}
-			memo[id] = false // cycle guard
-			v := walk(n.parent)
-			memo[id] = v
-			return v
-		}
-		inTree = func(id uint64) bool { return walk(id) }
-	}
-
-	children := make(map[uint64][]spanInterval, len(nodes))
+	var roots []*spanNode
 	for id, n := range nodes {
-		if !inTree(id) {
-			continue
+		p, ok := nodes[n.parent]
+		switch {
+		case root != 0 && id == root, root == 0 && (!ok || n.parent == id):
+			roots = append(roots, n)
+		case ok && n.parent != id:
+			p.kids = append(p.kids, n)
 		}
-		if _, ok := nodes[n.parent]; ok && n.parent != id && (root == 0 || id != root) {
-			children[n.parent] = append(children[n.parent], n)
-		}
+	}
+	if len(roots) == 0 {
+		return nil, 0
 	}
 
 	agg := make(map[string]*PhaseTime)
 	var total time.Duration
-	for id, n := range nodes {
-		if !inTree(id) {
-			continue
-		}
-		row := agg[n.scope]
-		if row == nil {
-			row = &PhaseTime{Phase: n.scope}
-			agg[n.scope] = row
-		}
-		dur := n.end.Sub(n.start)
-		row.Spans++
-		row.Total += dur
-		row.Self += dur - coverage(children[id], n.start, n.end)
-		isRoot := id == root
-		if root == 0 {
-			_, hasParent := nodes[n.parent]
-			isRoot = n.parent == 0 || n.parent == id || !hasParent
-		}
-		if isRoot {
-			total += dur
+	for _, r := range roots {
+		total += r.end.Sub(r.start)
+		var tree []*spanNode
+		r.collect(r.start, r.end, 0, &tree)
+		sweep(tree)
+		for _, n := range tree {
+			row := agg[n.scope]
+			if row == nil {
+				row = &PhaseTime{Phase: n.scope}
+				agg[n.scope] = row
+			}
+			row.Spans++
+			row.Total += n.dur
+			row.Self += n.self
 		}
 	}
 
@@ -184,8 +162,8 @@ func PhaseBreakdown(events []Event, root uint64) ([]PhaseTime, time.Duration) {
 
 // PhaseKey maps a span's (scope, name) to its phase label. Phases follow the
 // trace scope ("service", "pf", "mogd", "eval", "model"), except the "stage"
-// scope of pipeline requests, which stays broken out per stage name
-// ("stage:etl") so a pipeline run's breakdown shows each stage's share.
+// scope of model fetches, which stays broken out per stage name ("stage:etl")
+// so a pipeline run's breakdown shows each stage's share.
 func PhaseKey(scope, name string) string {
 	if scope == "stage" && name != "" {
 		return scope + ":" + name
@@ -193,34 +171,106 @@ func PhaseKey(scope, name string) string {
 	return scope
 }
 
-type spanInterval struct {
+// spanNode is one span of a tree being swept: its raw interval, the interval
+// clipped to its parent's, its depth, and the wall time the sweep gives it.
+type spanNode struct {
+	id, parent uint64
 	scope      string
 	start, end time.Time
-	parent     uint64
+	kids       []*spanNode
+	up         *spanNode // parent within the swept tree; nil at its root
+
+	dur   time.Duration // raw duration
+	depth int
+	open  int // children open at the sweep's current instant
+	self  time.Duration
 }
 
-// coverage returns the wall-clock length of the union of the child intervals,
-// clipped to [lo, hi]. Children may overlap (parallel work) or spill slightly
-// past the parent (timing skew); both are handled by merging.
-func coverage(kids []spanInterval, lo, hi time.Time) time.Duration {
-	if len(kids) == 0 {
-		return 0
+// collect appends n and its descendants to tree, clipping each span to
+// [lo, hi], its parent's clipped interval, and recording depths.
+func (n *spanNode) collect(lo, hi time.Time, depth int, tree *[]*spanNode) {
+	n.dur = n.end.Sub(n.start)
+	if n.start.Before(lo) {
+		n.start = lo
 	}
-	sort.Slice(kids, func(i, j int) bool { return kids[i].start.Before(kids[j].start) })
-	var covered time.Duration
-	cursor := lo
-	for _, k := range kids {
-		s, e := k.start, k.end
-		if s.Before(cursor) {
-			s = cursor
-		}
-		if e.After(hi) {
-			e = hi
-		}
-		if e.After(s) {
-			covered += e.Sub(s)
-			cursor = e
+	if n.end.After(hi) {
+		n.end = hi
+	}
+	n.depth = depth
+	*tree = append(*tree, n)
+	for _, k := range n.kids {
+		k.up = n
+		k.collect(n.start, n.end, depth+1, tree)
+	}
+}
+
+// sweep attributes the wall time of one clipped span tree: between
+// consecutive span boundaries, the elapsed time is split equally among the
+// open spans that have no open child. The remainder nanoseconds of each split
+// go to the first spans in a fixed order, so the self times sum to the root's
+// duration exactly.
+func sweep(tree []*spanNode) {
+	type edge struct {
+		at    time.Time
+		close bool
+		n     *spanNode
+	}
+	edges := make([]edge, 0, 2*len(tree))
+	for _, n := range tree {
+		if n.end.After(n.start) {
+			edges = append(edges, edge{n.start, false, n}, edge{n.end, true, n})
 		}
 	}
-	return covered
+	// At one instant: closes before opens, deeper closes first and shallower
+	// opens first, so a parent is open whenever its child is.
+	sort.Slice(edges, func(i, j int) bool {
+		a, b := edges[i], edges[j]
+		switch {
+		case !a.at.Equal(b.at):
+			return a.at.Before(b.at)
+		case a.close != b.close:
+			return a.close
+		case a.n.depth != b.n.depth:
+			return (a.n.depth > b.n.depth) == a.close
+		}
+		return a.n.id < b.n.id
+	})
+	var leaves []*spanNode
+	drop := func(n *spanNode) {
+		for i, l := range leaves {
+			if l == n {
+				leaves = append(leaves[:i], leaves[i+1:]...)
+				return
+			}
+		}
+	}
+	var last time.Time
+	for _, e := range edges {
+		if seg := e.at.Sub(last); seg > 0 && len(leaves) > 0 {
+			share, rem := seg/time.Duration(len(leaves)), int(seg%time.Duration(len(leaves)))
+			for i, l := range leaves {
+				l.self += share
+				if i < rem {
+					l.self++
+				}
+			}
+		}
+		last = e.at
+		parent := e.n.up
+		if e.close {
+			drop(e.n)
+			if parent != nil {
+				if parent.open--; parent.open == 0 {
+					leaves = append(leaves, parent)
+				}
+			}
+			continue
+		}
+		leaves = append(leaves, e.n)
+		if parent != nil {
+			if parent.open++; parent.open == 1 {
+				drop(parent)
+			}
+		}
+	}
 }

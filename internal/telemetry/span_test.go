@@ -216,6 +216,73 @@ func TestSpanParallelChildrenCoverage(t *testing.T) {
 	}
 }
 
+// TestPhaseBreakdownParallelSiblings: overlapping sibling spans share the
+// instants they overlap, so the self column sums to the root's duration
+// instead of counting parallel work once per sibling. Times are in ms.
+//
+//	service 0-100
+//	  pf 10-90
+//	    mogd 20-60
+//	      eval 30-50
+//	    mogd 40-80
+//	      eval 70-85 (skewed past its parent: clipped to 70-80)
+func TestPhaseBreakdownParallelSiblings(t *testing.T) {
+	base := time.Unix(1700000000, 0)
+	ms := time.Millisecond
+	mk := func(span, parent uint64, scope string, start, end time.Duration) Event {
+		return Event{Span: span, Parent: parent, Scope: scope,
+			Time: base.Add(end * ms), Dur: (end - start) * ms}
+	}
+	events := []Event{
+		mk(1, 0, "service", 0, 100),
+		mk(2, 1, "pf", 10, 90),
+		mk(3, 2, "mogd", 20, 60),
+		mk(4, 3, "eval", 30, 50),
+		mk(5, 2, "mogd", 40, 80),
+		mk(6, 5, "eval", 70, 85),
+	}
+	for _, root := range []uint64{1, 0} {
+		rows, total := PhaseBreakdown(events, root)
+		if total != 100*ms {
+			t.Fatalf("root %d: total = %v, want 100ms", root, total)
+		}
+		got := map[string][2]time.Duration{}
+		var sum time.Duration
+		for _, r := range rows {
+			got[r.Phase] = [2]time.Duration{r.Self, r.Total}
+			sum += r.Self
+		}
+		// 30-40 eval alone; 40-50 eval and the second mogd split; 50-70
+		// both mogds; 70-80 the second eval alone.
+		want := map[string][2]time.Duration{
+			"service": {20 * ms, 100 * ms},
+			"pf":      {20 * ms, 80 * ms},
+			"mogd":    {35 * ms, 80 * ms},
+			"eval":    {25 * ms, 35 * ms},
+		}
+		for ph, w := range want {
+			if got[ph] != w {
+				t.Errorf("root %d: %s self/total = %v, want %v", root, ph, got[ph], w)
+			}
+		}
+		if sum != total {
+			t.Fatalf("root %d: self sum %v != total %v", root, sum, total)
+		}
+	}
+
+	// Two concurrent trees aggregated with root == 0 are swept separately:
+	// the self column sums to the summed root durations.
+	events = append(events, mk(7, 0, "service", 50, 110), mk(8, 7, "mogd", 50, 110))
+	rows, total := PhaseBreakdown(events, 0)
+	var sum time.Duration
+	for _, r := range rows {
+		sum += r.Self
+	}
+	if total != 160*ms || sum != total {
+		t.Fatalf("two trees: self sum %v, total %v, want 160ms each", sum, total)
+	}
+}
+
 // TestSpanZeroAlloc: the enabled-span fast path (no attrs, ring only) must
 // not allocate — the contract that lets spans sit on the solver hot path.
 func TestSpanZeroAlloc(t *testing.T) {

@@ -10,7 +10,8 @@
 #      suites, and the observability layer (telemetry registry + spans, run
 #      registry, calibration ledger, HTTP service incl. the sharded serving
 #      cache and the /observe loop, watchdog)
-#   4. full test suite
+#   4. full test suite, plus the per-phase breakdown tests at GOMAXPROCS
+#      1, 2 and 8, since parallel spans only overlap on several cores
 #   5. benchmark smoke: one iteration of the MOGD benchmarks, so a broken
 #      benchmark harness fails CI instead of the next perf investigation
 #   6. vet and test the /optimize benchmark module (perfbench/, its own Go
@@ -31,6 +32,7 @@ go vet ./...
 go build ./...
 go test -race ./internal/linalg/... ./internal/solver/... ./internal/model/... ./internal/core/... ./internal/problem/... ./internal/space/... ./internal/recommend/... ./internal/conformance/... ./internal/telemetry/... ./internal/runlog/... ./internal/calib/... ./internal/watch/... ./internal/serving/... ./internal/service/...
 go test ./...
+go test -cpu 1,2,8 -run 'PhaseBreakdown' ./internal/telemetry/ ./internal/service/
 go test -run '^$' -bench MOGD -benchtime 1x ./internal/solver/mogd/
 (cd perfbench && go vet ./... && go test ./...)
 
